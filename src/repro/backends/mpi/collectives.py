@@ -123,10 +123,10 @@ def _select_schedule(comm, kind: str, count: int, itemsize: int,
                              _coll_topology(comm), engine=comm.engine)
     if selected is None or selected == "native":
         return None
-    from ...coll import generate
+    from ...coll.algorithms import cached_generate
 
-    sched = generate(str(selected), kind, comm.size, count,
-                     topo=_coll_topology(comm), root=root)
+    sched = cached_generate(str(selected), kind, comm.size, count,
+                            topo=_coll_topology(comm), root=root)
     if sched is None:
         return None
     return sched, max(1, int(getattr(selected, "channels", 1)))

@@ -12,8 +12,8 @@ trace byte-identical). This package never imports the backends; they
 import it.
 """
 
-from .algorithms import (ALGORITHMS, DEFAULT_ALGORITHM, candidates, generate,
-                         is_applicable)
+from .algorithms import (ALGORITHMS, DEFAULT_ALGORITHM, cached_generate,
+                         candidates, generate, is_applicable)
 from .cost import (CHANNEL_COUNTS, PROTOCOL_SPECS, PROTOCOLS, ProtocolSpec,
                    Topology, protocol_spec, schedule_cost)
 from .models import CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel
@@ -53,6 +53,7 @@ __all__ = [
     "ENV_TABLE",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
+    "cached_generate",
     "candidates",
     "chunk_layout",
     "execute_schedule",

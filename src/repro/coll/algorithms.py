@@ -14,6 +14,12 @@ Every generator produces a :class:`~repro.coll.schedule.Schedule` for one
   per-node leaders, inter-node exchange among leaders, intra-node fan-out
   (requires a topology with at least two nodes).
 
+:func:`cached_generate` is the shared, bounded schedule memo every
+consumer goes through (the per-backend models, degraded-topology
+selection and the MPI schedule executor): a schedule is generated once
+per ``(algorithm, kind, nranks, count, root, topology layout)`` and the
+instance is shared, so consumers must treat it as read-only.
+
 Backends keep their native algorithm under its own name ("ring" for
 GPUCCL, "tree" for GPUSHMEM, "native" for MPI) — selecting it routes
 through the untouched legacy code path, which is what keeps default
@@ -22,12 +28,13 @@ traces byte-identical.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 from .schedule import Copy, Recv, RecvReduce, Schedule, Send, chunk_layout
 
-__all__ = ["ALGORITHMS", "DEFAULT_ALGORITHM", "generate", "is_applicable",
-           "candidates"]
+__all__ = ["ALGORITHMS", "DEFAULT_ALGORITHM", "generate", "cached_generate",
+           "is_applicable", "candidates", "MEMO_SIZE"]
 
 #: Generator names, in catalogue order.
 ALGORITHMS = ("ring", "tree", "recdbl", "bruck", "hier")
@@ -422,3 +429,44 @@ def generate(algorithm: str, kind: str, nranks: int, count: int, *,
     if algorithm == "hier":
         return _hier(kind, nranks, count, root, topo)
     raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+#: Entry bound of the shared schedule memo and of the lowered-cost cache
+#: (:mod:`repro.coll.cost`). A 64-GPU tuning table touches 112 distinct
+#: schedules.
+MEMO_SIZE = 256
+
+
+class LruMemo(OrderedDict):
+    """A memo bounded to :data:`MEMO_SIZE` entries, least recently used
+    evicted first. Values must be pure functions of their key: callers in
+    one process share them."""
+
+    def lookup(self, key, make):
+        """The value for ``key``, built by ``make()`` on a miss."""
+        try:
+            self.move_to_end(key)
+        except KeyError:
+            value = self[key] = make()
+            if len(self) > MEMO_SIZE:
+                self.popitem(last=False)
+            return value
+        return self[key]
+
+
+_MEMO = LruMemo()
+
+
+def cached_generate(algorithm: str, kind: str, nranks: int, count: int, *,
+                    topo=None, root: int = 0) -> Optional[Schedule]:
+    """:func:`generate` through the shared memo.
+
+    Generators read the topology only through its per-node rank groups,
+    so the key holds that layout rather than the topology object: every
+    model, policy and communicator over the same placement shares one
+    instance. The returned schedule is shared and must not be mutated.
+    """
+    layout = None if topo is None else tuple(map(tuple, topo.groups()))
+    return _MEMO.lookup(
+        (algorithm, kind, nranks, count, root, layout),
+        lambda: generate(algorithm, kind, nranks, count, topo=topo, root=root))

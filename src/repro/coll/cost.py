@@ -15,13 +15,24 @@ term for reductions and local copies, and the round costs the maximum
 over ranks. This deliberately ignores link contention — it is a ranking
 function for the tuner, not a replacement for the event-driven link
 occupancy the backends charge at execution time.
+
+A schedule is lowered once per (placement, itemsize) into padded
+per-(round, rank) addend arrays (:class:`_Lowered`); every protocol x
+channels variant is then a few numpy passes over those arrays that keep
+the IEEE operation order of the per-step walk, so costs are bit-identical
+to pricing each step in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
+from .algorithms import LruMemo
 from .schedule import Copy, Recv, RecvReduce, Schedule, Send
 
 __all__ = [
@@ -107,6 +118,9 @@ class Topology:
             cluster.machine.name, self.nranks,
             "+".join(str(len(g)) for g in self._groups),
         )
+        # Path parameters depend only on the machine and the GPU of each
+        # rank, so topologies with equal keys share lowered schedules.
+        self.placement = (cluster.machine, tuple(self.gpu_ids))
 
     def groups(self) -> List[List[int]]:
         """Ranks grouped by node, in first-appearance order."""
@@ -138,6 +152,111 @@ class Topology:
         return f"<Topology {self._signature}>"
 
 
+_SEND, _RECV, _REDUCE, _COPY = range(4)
+_STEP_CODES = {Send: _SEND, Recv: _RECV, RecvReduce: _REDUCE, Copy: _COPY}
+_length = attrgetter("length")
+_peer = attrgetter("peer")
+
+
+class _Lowered:
+    """One schedule's steps as padded ``(step column, row)`` arrays.
+
+    A row is one rank's step list in one non-empty round; rows of a round
+    are contiguous and ``starts`` indexes each round's first row. Step
+    ``k`` of a row sits in column ``k`` (shorter rows are zero-padded):
+
+    - ``pair`` indexes ``params``, the distinct (latency, bandwidth,
+      per-message overhead) paths the sends use; entry 0 is the local
+      pseudo-path of copies, reductions, plain receives and padding;
+    - ``nbytes`` is a send's wire bytes or a copy/reduction's local bytes
+      (0 for plain receives and padding);
+    - ``stage`` is the bytes a step stages through a bounce buffer (0 for
+      copies and padding).
+    """
+
+    __slots__ = ("starts", "pair", "params", "local_bw", "nbytes", "stage")
+
+    def __init__(self, sched: Schedule, topo: Topology, itemsize: int):
+        steps: List = []
+        row_ranks: List[int] = []
+        row_lens: List[int] = []
+        starts: List[int] = []
+        for rnd in sched.rounds:
+            if not rnd:
+                continue
+            starts.append(len(row_lens))
+            for rank, rank_steps in rnd.items():
+                row_ranks.append(rank)
+                row_lens.append(len(rank_steps))
+                steps.extend(rank_steps)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.local_bw = topo.local_bandwidth()
+        lens = np.array(row_lens, dtype=np.intp)
+        width = int(lens.max()) if len(lens) else 0
+        row = np.repeat(np.arange(len(lens)), lens)
+        col = np.arange(len(steps)) - np.repeat(np.cumsum(lens) - lens, lens)
+        n = len(steps)
+        code = np.fromiter(map(_STEP_CODES.__getitem__, map(type, steps)),
+                           np.int8, n)
+        send = code == _SEND
+        nbytes = np.fromiter(map(_length, steps), np.int64, n) * itemsize
+        nbytes = nbytes.astype(np.float64)
+        src = np.array(row_ranks, dtype=np.int64)[row[send]]
+        dst = np.fromiter(map(_peer, compress(steps, send.tolist())),
+                          np.int64, int(send.sum()))
+        keys, inverse = np.unique(src * topo.nranks + dst, return_inverse=True)
+        self.params = np.array(
+            [(0.0, self.local_bw, 0.0)]
+            + [topo.path_params(*divmod(int(k), topo.nranks)) for k in keys],
+            dtype=np.float64,
+        ).reshape(-1, 3)
+        shape = (width, len(lens))
+        self.pair = np.zeros(shape, dtype=np.intp)
+        self.pair[col[send], row[send]] = inverse.reshape(-1) + 1
+        self.nbytes = np.zeros(shape)
+        self.nbytes[col, row] = np.where(code == _RECV, 0.0, nbytes)
+        self.stage = np.zeros(shape)
+        self.stage[col, row] = np.where(code == _COPY, 0.0, nbytes)
+
+    def cost(self, lat_factor: float, ov_factor: float, channels: int,
+             eff_scale: float, staging_threshold: int,
+             staging_inv_bw: float) -> float:
+        """Sum over rounds of the per-round maximum rank cost.
+
+        Keeps the per-step walk's operation order: each send adds
+        ``lat*lat_factor + ov*ov_factor*channels + nbytes/(bw*eff_scale)``
+        (local steps add ``0.0 + nbytes/local_bw``), a staged step adds
+        its bounce-buffer charge right after, a row accumulates left to
+        right, and rounds sum in order. Zero addends (padding, skipped
+        staging) leave a non-negative float sum bit-identical.
+        """
+        if not len(self.pair):
+            return 0.0
+        lat, bw, ov = self.params[:, 0], self.params[:, 1], self.params[:, 2]
+        fixed = lat * lat_factor + ov * ov_factor * channels
+        denom = bw * eff_scale
+        denom[0] = self.local_bw
+        addend = fixed[self.pair] + self.nbytes / denom[self.pair]
+        staged = None
+        if staging_inv_bw:
+            staged = np.where(self.stage > staging_threshold,
+                              self.stage * staging_inv_bw, 0.0)
+        acc = addend[0] if staged is None else addend[0] + staged[0]
+        for k in range(1, len(addend)):
+            acc = acc + addend[k]
+            if staged is not None:
+                acc = acc + staged[k]
+        total = 0.0
+        for round_cost in np.maximum.reduceat(acc, self.starts).tolist():
+            total += round_cost
+        return total
+
+
+#: (schedule, placement, itemsize) -> lowered form. Schedules are never
+#: mutated once generated, so a cached lowering stays valid.
+_LOWERED = LruMemo()
+
+
 def schedule_cost(sched: Schedule, topo: Topology, itemsize: int = 1, *,
                   bw_scale: float = 1.0, per_round_overhead: float = 0.0,
                   staging_threshold: int = 0,
@@ -164,32 +283,9 @@ def schedule_cost(sched: Schedule, topo: Topology, itemsize: int = 1, *,
     ov_factor = 1.0 if spec is None else spec.overhead_factor
     lat_factor = 1.0 if spec is None else 1.0 + spec.rendezvous_factor
     eff_scale = min(channels * bw_scale, 1.0) * bw_factor
-    local_bw = topo.local_bandwidth()
-    total = 0.0
-    for rnd in sched.rounds:
-        round_cost = 0.0
-        for rank, steps in rnd.items():
-            rank_cost = 0.0
-            for st in steps:
-                if isinstance(st, Send):
-                    nbytes = st.length * itemsize
-                    lat, bw, ov = topo.path_params(rank, st.peer)
-                    rank_cost += (lat * lat_factor + ov * ov_factor * channels
-                                  + nbytes / (bw * eff_scale))
-                    if staging_inv_bw and nbytes > staging_threshold:
-                        rank_cost += nbytes * staging_inv_bw
-                elif isinstance(st, RecvReduce):
-                    nbytes = st.length * itemsize
-                    rank_cost += nbytes / local_bw
-                    if staging_inv_bw and nbytes > staging_threshold:
-                        rank_cost += nbytes * staging_inv_bw
-                elif isinstance(st, Recv):
-                    nbytes = st.length * itemsize
-                    if staging_inv_bw and nbytes > staging_threshold:
-                        rank_cost += nbytes * staging_inv_bw
-                elif isinstance(st, Copy):
-                    rank_cost += st.length * itemsize / local_bw
-            if rank_cost > round_cost:
-                round_cost = rank_cost
-        total += round_cost
+    lowered = _LOWERED.lookup((sched, topo.placement, itemsize),
+                              lambda: _Lowered(sched, topo, itemsize))
+    total = lowered.cost(
+        lat_factor, ov_factor, channels, eff_scale, staging_threshold,
+        staging_inv_bw)
     return total + per_round_overhead * sched.n_rounds

@@ -6,7 +6,9 @@ algorithm of each backend reproduces that backend's legacy analytic
 formula bit-for-bit (GPUCCL's fused ring kernel, GPUSHMEM's put-tree,
 MPI's send/recv composition estimate), so installing a policy that picks
 the default changes nothing; every other algorithm is priced by
-:func:`~repro.coll.cost.schedule_cost` over the generated schedule.
+:func:`~repro.coll.cost.schedule_cost` over the generated schedule, which
+comes from the shared memo (:func:`~repro.coll.algorithms.cached_generate`)
+so the three models of one topology generate each schedule once.
 
 These classes live here (not in the backends) so the tuner can score all
 three backends without importing any of them; the backends import *this*
@@ -18,32 +20,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from .algorithms import generate
+from .algorithms import cached_generate
 from .cost import ProtocolSpec, Topology, protocol_spec, schedule_cost
-from .schedule import Schedule, ring_path_params
+from .schedule import ring_path_params
 
 __all__ = ["GpucclModel", "ShmemModel", "MpiModel", "CANONICAL_SHMEM_KINDS"]
 
-
-class _ScheduleCache:
-    """Shared generated-schedule cache, keyed off (algorithm, kind, size).
-
-    Protocol x channel tuning prices the same schedule under many knob
-    combinations; regenerating it per combination would dominate tuner
-    time, so each model memoizes generation separately from pricing.
-    """
-
-    def __init__(self, nranks: int, topo: Topology):
-        self._nranks = nranks
-        self._topo = topo
-        self._scheds: Dict[Tuple[str, str, int], Optional[Schedule]] = {}
-
-    def get(self, algorithm: str, kind: str, nbytes: int) -> Optional[Schedule]:
-        key = (algorithm, kind, int(nbytes))
-        if key not in self._scheds:
-            self._scheds[key] = generate(
-                algorithm, kind, self._nranks, int(nbytes), topo=self._topo)
-        return self._scheds[key]
 
 #: GPUSHMEM native collective kind -> canonical schedule kind (barrier and
 #: alltoall have no schedule counterpart and stay on the legacy path).
@@ -74,7 +56,6 @@ class GpucclModel:
         self.local_bandwidth = cluster.machine.gpu.mem_bandwidth / 2.0
         self.topo = Topology(cluster, gpu_ids)
         self._cache: Dict[Tuple, float] = {}
-        self._scheds = _ScheduleCache(self.p, self.topo)
 
     # ------------------------------------------------------------------ #
     # The legacy ring formulas (the "ring" algorithm).
@@ -144,7 +125,8 @@ class GpucclModel:
             key = (kind, algorithm, nbytes)
             cached = self._cache.get(key)
             if cached is None:
-                sched = self._scheds.get(algorithm, kind, nbytes)
+                sched = cached_generate(algorithm, kind, self.p,
+                                        int(nbytes), topo=self.topo)
                 if sched is None:
                     return getattr(self, self._RING_TIMES[kind])(nbytes)
                 cached = self._base() + schedule_cost(
@@ -158,7 +140,8 @@ class GpucclModel:
         key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
         cached = self._cache.get(key)
         if cached is None:
-            sched = self._scheds.get(algorithm, kind, nbytes)
+            sched = cached_generate(algorithm, kind, self.p, int(nbytes),
+                                    topo=self.topo)
             if sched is None:
                 return getattr(self, self._RING_TIMES[kind])(nbytes)
             ov_factor = 1.0 if spec is None else spec.overhead_factor
@@ -189,7 +172,6 @@ class ShmemModel:
         self.rounds = max(1, math.ceil(math.log2(max(self.p, 2))))
         self.topo = Topology(cluster, gpu_ids)
         self._cache: Dict[Tuple, float] = {}
-        self._scheds = _ScheduleCache(self.p, self.topo)
 
     def barrier_time(self) -> float:
         """Modelled duration of one team barrier."""
@@ -231,7 +213,8 @@ class ShmemModel:
             key = (kind, algorithm, nbytes)
             cached = self._cache.get(key)
             if cached is None:
-                sched = self._scheds.get(algorithm, canonical, nbytes)
+                sched = cached_generate(algorithm, canonical, self.p,
+                                        int(nbytes), topo=self.topo)
                 if sched is None:
                     return self.collective_time(kind, nbytes)
                 cached = schedule_cost(
@@ -246,7 +229,8 @@ class ShmemModel:
         key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
         cached = self._cache.get(key)
         if cached is None:
-            sched = self._scheds.get(algorithm, canonical, nbytes)
+            sched = cached_generate(algorithm, canonical, self.p,
+                                    int(nbytes), topo=self.topo)
             if sched is None:
                 return self.collective_time(kind, nbytes)
             cached = (channels * self.profile.channel_post_overhead
@@ -277,7 +261,6 @@ class MpiModel:
             0.0 if profile.collective_gpu_direct else 1.0 / profile.eager_copy_bandwidth
         )
         self._cache: Dict[Tuple, float] = {}
-        self._scheds = _ScheduleCache(self.p, self.topo)
 
     def _transfer(self, nbytes: float) -> float:
         lat, bw, ov = self.topo.path_params(0, self.p - 1)
@@ -326,7 +309,8 @@ class MpiModel:
             key = (kind, algorithm, spec.name if spec else None, channels, nbytes)
         cached = self._cache.get(key)
         if cached is None:
-            sched = self._scheds.get(algorithm, kind, nbytes)
+            sched = cached_generate(algorithm, kind, self.p, int(nbytes),
+                                    topo=self.topo)
             if sched is None:
                 return base + self._native(kind, nbytes)
             cached = schedule_cost(

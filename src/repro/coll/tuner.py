@@ -26,7 +26,10 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._compat import warn_once
-from .algorithms import DEFAULT_ALGORITHM, candidates, generate, is_applicable
+from .algorithms import (DEFAULT_ALGORITHM, cached_generate, candidates,
+                         is_applicable)
+# Kept importable here: tracing tools patch ``generate`` by this name.
+from .algorithms import generate  # noqa: F401
 from .cost import CHANNEL_COUNTS, PROTOCOLS, Topology
 from .models import CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel
 from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError, migrate_v1,
@@ -323,7 +326,8 @@ class CollPolicy:
         from .schedule import Send
 
         name = "tree" if algorithm == "native" else algorithm
-        sched = generate(name, kind, topo.nranks, max(1, int(nbytes)), topo=topo)
+        sched = cached_generate(name, kind, topo.nranks, max(1, int(nbytes)),
+                                topo=topo)
         if sched is None:
             return self.DEAD_PAIR_PENALTY
         for rnd in sched.rounds:

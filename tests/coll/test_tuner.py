@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.coll import (ALGORITHMS, CollPolicy, CollTable, CollTableError,
@@ -257,3 +258,65 @@ def test_cli_tune_coll_dump(tmp_path):
     table = CollTable.from_doc(doc)
     sig = CollTuner("perlmutter", 64).topo.signature()
     assert table.lookup(sig, "gpuccl", "all_reduce", 32 << 20) == "ring"
+
+
+# --------------------------------------------------------------------- #
+# The shared schedule memo.
+# --------------------------------------------------------------------- #
+
+
+def _fingerprint(sched):
+    return [{rank: [(type(st).__name__,) + tuple(getattr(st, a)
+                                                  for a in st.__slots__)
+                    for st in steps]
+             for rank, steps in rnd.items()}
+            for rnd in sched.rounds]
+
+
+def test_table_build_generates_each_schedule_once(monkeypatch):
+    """The three backend models share one memo: a 64-GPU table build
+    generates every distinct schedule exactly once."""
+    from collections import Counter
+
+    from repro.coll import algorithms
+
+    calls = Counter()
+    real = algorithms.generate
+
+    def counting(algorithm, kind, nranks, count, *, topo=None, root=0):
+        calls[(algorithm, kind, nranks, count, root)] += 1
+        return real(algorithm, kind, nranks, count, topo=topo, root=root)
+
+    monkeypatch.setattr(algorithms, "_MEMO", algorithms.LruMemo())
+    monkeypatch.setattr(algorithms, "generate", counting)
+    _tuner().build_table()
+    assert calls and set(calls.values()) == {1}
+    assert len(calls) == len(algorithms._MEMO) <= algorithms.MEMO_SIZE
+
+
+def test_mpi_executor_leaves_memoized_schedule_unchanged(monkeypatch):
+    """Every rank's executor runs the one shared instance; running it
+    must leave it equal to a fresh generation."""
+    from repro.coll import algorithms, generate
+    from repro.core import Memory
+    from tests.core.conftest import uniconn_run
+
+    monkeypatch.delenv(ENV_TABLE, raising=False)
+    monkeypatch.setattr(algorithms, "_MEMO", algorithms.LruMemo())
+    p, count = 7, 12
+
+    def body(env, comm, coord):
+        send = Memory.alloc(env, count)
+        recv = Memory.alloc(env, count)
+        send.write(np.arange(count, dtype=np.float64))
+        coord.all_reduce(send, recv, count, "sum", comm)
+        coord.stream.synchronize()
+        return recv.read().copy()
+
+    report = uniconn_run(p, "mpi", body, coll="ring")
+    for rank in range(p):
+        np.testing.assert_array_equal(report[rank], p * np.arange(count))
+    [(key, shared)] = algorithms._MEMO.items()
+    assert key[:5] == ("ring", "all_reduce", p, count, 0)
+    assert _fingerprint(shared) == _fingerprint(
+        generate("ring", "all_reduce", p, count))

@@ -29,7 +29,7 @@ def test_barrier_synchronizes_all_backends(backend):
 def test_barrier_on_stream_is_stream_ordered(backend):
     def body(env, comm, coord):
         t0 = env.engine.now
-        comm.barrier(coord.stream)
+        comm.barrier(stream=coord.stream)
         host_dt = env.engine.now - t0
         coord.stream.synchronize()
         return host_dt

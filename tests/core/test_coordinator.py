@@ -23,9 +23,9 @@ def ring_exchange_once(env, comm, coord, iteration=1):
     right, left = (me + 1) % p, (me - 1 + p) % p
     send = Memory.alloc(env, 4)
     recv = Memory.alloc(env, 4)
-    sig = Memory.alloc(env, 2, np.uint64)
+    sig = Memory.alloc(env, 2, dtype=np.uint64)
     send.write(np.full(4, float(me + 1), np.float32))
-    comm.barrier(coord.stream)
+    comm.barrier(stream=coord.stream)
 
     coord.comm_start()
     coord.post(send, recv, 4, sig, iteration, right, comm)
@@ -51,11 +51,11 @@ def test_repeated_iterations_with_signal_values(backend):
         right, left = (me + 1) % p, (me - 1 + p) % p
         send = Memory.alloc(env, 2)
         recv = Memory.alloc(env, 2)
-        sig = Memory.alloc(env, 1, np.uint64)
+        sig = Memory.alloc(env, 1, dtype=np.uint64)
         seen = []
         for it in range(1, 4):
             send.write(np.full(2, float(me * 10 + it), np.float32))
-            comm.barrier(coord.stream)
+            comm.barrier(stream=coord.stream)
             coord.comm_start()
             coord.post(send, recv, 2, sig, it, right, comm)
             coord.acknowledge(recv, 2, sig, it, left, comm)
@@ -186,7 +186,7 @@ def test_gather_and_scatter(backend):
         send.write(np.full(2, float(me), np.float32))
         coord.gather(send, gathered, 2, 0, comm)
         coord.stream.synchronize()
-        comm.barrier(coord.stream)
+        comm.barrier(stream=coord.stream)
         out = Memory.alloc(env, 2)
         coord.scatter(gathered, out, 2, 0, comm)
         coord.stream.synchronize()
@@ -286,9 +286,9 @@ def test_pure_device_ring_exchange_inside_kernel():
     def body(env, comm, coord):
         send = Memory.alloc(env, 4)
         recv = Memory.alloc(env, 4)
-        sig = Memory.alloc(env, 1, np.uint64)
+        sig = Memory.alloc(env, 1, dtype=np.uint64)
         send.write(np.full(4, float(comm.global_rank() + 1), np.float32))
-        comm.barrier(coord.stream)
+        comm.barrier(stream=coord.stream)
         out = []
         comm_d = comm.to_device()
         coord.bind_kernel(LaunchMode.PureDevice, exchange, 2, 128,
@@ -324,9 +324,9 @@ def test_partial_device_exchange():
         right, left = (me + 1) % p, (me - 1 + p) % p
         send = Memory.alloc(env, 4)
         recv = Memory.alloc(env, 4)
-        sig = Memory.alloc(env, 1, np.uint64)
+        sig = Memory.alloc(env, 1, dtype=np.uint64)
         send.write(np.full(4, float(me + 1), np.float32))
-        comm.barrier(coord.stream)
+        comm.barrier(stream=coord.stream)
         comm_d = comm.to_device()
         coord.bind_kernel(LaunchMode.PartialDevice, push_halo, 2, 128,
                           args=(send, recv, comm_d))
@@ -354,9 +354,9 @@ def test_thread_group_granularities_all_work():
         def body(env, comm, coord):
             send = Memory.alloc(env, 2)
             recv = Memory.alloc(env, 2)
-            sig = Memory.alloc(env, 1, np.uint64)
+            sig = Memory.alloc(env, 1, dtype=np.uint64)
             send.write(np.full(2, float(comm.global_rank() + 5), np.float32))
-            comm.barrier(coord.stream)
+            comm.barrier(stream=coord.stream)
             comm_d = comm.to_device()
             coord.bind_kernel(LaunchMode.PureDevice, put_with, 1, 64,
                               args=(send, recv, sig, comm_d, group))

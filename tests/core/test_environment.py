@@ -38,7 +38,7 @@ def test_backend_tags_not_instantiable():
 
 def test_environment_rank_queries():
     def main(ctx):
-        env = Environment(MPIBackend, ctx)
+        env = Environment(ctx, backend=MPIBackend)
         out = (env.world_rank(), env.world_size(), env.node_rank(), env.node_size())
         env.set_device(env.node_rank())
         env.close()
@@ -50,7 +50,7 @@ def test_environment_rank_queries():
 
 def test_environment_close_twice_rejected():
     def main(ctx):
-        env = Environment(MPIBackend, ctx)
+        env = Environment(ctx, backend=MPIBackend)
         env.close()
         with pytest.raises(UniconnError, match="twice"):
             env.close()
@@ -61,7 +61,7 @@ def test_environment_close_twice_rejected():
 
 def test_environment_context_manager_closes():
     def main(ctx):
-        with Environment(MPIBackend, ctx) as env:
+        with Environment(ctx, backend=MPIBackend) as env:
             env.set_device(0)
         return env.closed
 
@@ -70,7 +70,7 @@ def test_environment_context_manager_closes():
 
 def test_shmem_runtime_only_on_gpushmem_backend():
     def main(ctx):
-        env = Environment(MPIBackend, ctx)
+        env = Environment(ctx, backend=MPIBackend)
         env.set_device(0)
         with pytest.raises(UniconnError, match="no GPUSHMEM runtime"):
             _ = env.shmem
@@ -86,11 +86,11 @@ def test_shmem_runtime_only_on_gpushmem_backend():
 ])
 def test_memory_alloc_type_per_backend(backend, expected_type):
     def main(ctx):
-        env = Environment(backend, ctx)
+        env = Environment(ctx, backend=backend)
         env.set_device(env.node_rank())
         if backend == "gpuccl":
             Communicator(env)  # gpuccl needs no alloc precondition; exercise anyway
-        buf = Memory.alloc(env, 16, np.float32)
+        buf = Memory.alloc(env, 16, dtype=np.float32)
         ok = isinstance(buf, expected_type) and buf.size == 16
         Memory.free(env, buf)
         return ok
@@ -100,7 +100,7 @@ def test_memory_alloc_type_per_backend(backend, expected_type):
 
 def test_memory_free_rejects_foreign_objects():
     def main(ctx):
-        env = Environment("mpi", ctx)
+        env = Environment(ctx, backend="mpi")
         env.set_device(0)
         with pytest.raises(UniconnError, match="not a device buffer"):
             Memory.free(env, np.zeros(4))
@@ -111,7 +111,7 @@ def test_memory_free_rejects_foreign_objects():
 
 def test_gpuccl_uid_bootstrap_is_shared():
     def main(ctx):
-        env = Environment(GpucclBackend, ctx)
+        env = Environment(ctx, backend=GpucclBackend)
         env.set_device(env.node_rank())
         return env.bootstrap_gpuccl_uid()
 

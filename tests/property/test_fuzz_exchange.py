@@ -13,22 +13,22 @@ def run_exchange(backend, nranks, edges, sizes, machine="perlmutter"):
     value src*1000+i to dst. Returns what each rank received per edge."""
 
     def main(ctx):
-        env = Environment(backend, ctx)
+        env = Environment(ctx, backend=backend)
         env.set_device(env.node_rank())
         comm = Communicator(env)
         stream = env.device.create_stream()
-        coord = Coordinator(env, stream)
+        coord = Coordinator(env, stream=stream)
         me = comm.global_rank()
         maxsize = max(sizes)
         # Symmetric contract: identical allocations everywhere.
         sends = [Memory.alloc(env, maxsize) for _ in edges]
         recvs = [Memory.alloc(env, maxsize) for _ in edges]
-        sig = (Memory.alloc(env, len(edges), np.uint64)
+        sig = (Memory.alloc(env, len(edges), dtype=np.uint64)
                if env.backend.supports_device_api else None)
         for i, (src, dst) in enumerate(edges):
             if src == me:
                 sends[i].write(np.full(sizes[i], float(src * 1000 + i), np.float32))
-        comm.barrier(stream)
+        comm.barrier(stream=stream)
 
         coord.comm_start()
         for i, (src, dst) in enumerate(edges):

@@ -35,7 +35,7 @@ def test_revoke_fences_exactly_once():
     def main(ctx):
         from repro.core import Communicator, Environment
 
-        env = Environment("mpi", rank_ctx=ctx)
+        env = Environment(ctx, backend="mpi")
         env.set_device(ctx.node_rank)
         comm = Communicator(env)
         comm.revoke("first")

@@ -137,7 +137,7 @@ def test_shrunk_communicator_collectives_work(backend):
         comm.revoke()
         new = comm.shrink()
         stream = env.device.create_stream()
-        c2 = Coordinator(env, stream)
+        c2 = Coordinator(env, stream=stream)
         buf.write(np.full(4, float(new.global_rank() + 1)))
         c2.all_reduce(IN_PLACE, buf, 4, "sum", new)
         stream.synchronize()
@@ -179,7 +179,7 @@ def test_elastic_loop_budget_exhaustion_raises():
     def main(ctx):
         from repro.core import Communicator, Environment
 
-        env = Environment("mpi", rank_ctx=ctx)
+        env = Environment(ctx, backend="mpi")
         env.set_device(ctx.node_rank)
         comm = Communicator(env)
         loop = ElasticLoop(comm, lambda c, g: None, max_recoveries=2, label="cap")

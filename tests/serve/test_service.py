@@ -152,7 +152,8 @@ def test_cli_submit_json_and_serve_once(tmp_path):
                           "--size", "16", "--iters", "2",
                           "--json", out_json])
     assert code == 0
-    docs = json.loads(open(out_json).read())
+    with open(out_json) as fh:
+        docs = json.load(fh)
     assert len(docs) == 1 and docs[0]["status"] == "done"
 
     queue = tmp_path / "q.jsonl"
