@@ -14,6 +14,9 @@ Every generator produces a :class:`~repro.coll.schedule.Schedule` for one
   per-node leaders, inter-node exchange among leaders, intra-node fan-out
   (requires a topology with at least two nodes).
 
+Generators write step columns through :class:`~repro.coll.schedule.StepRows`,
+whole rounds (or whole phases) per numpy call; no step objects are built.
+
 :func:`cached_generate` is the shared, bounded schedule memo every
 consumer goes through (the per-backend models, degraded-topology
 selection and the MPI schedule executor): a schedule is generated once
@@ -29,9 +32,11 @@ traces byte-identical.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .schedule import Copy, Recv, RecvReduce, Schedule, Send, chunk_layout
+import numpy as np
+
+from .schedule import Schedule, StepRows
 
 __all__ = ["ALGORITHMS", "DEFAULT_ALGORITHM", "generate", "cached_generate",
            "is_applicable", "candidates", "MEMO_SIZE"]
@@ -50,48 +55,62 @@ def _ceil_log2(n: int) -> int:
     return r
 
 
-def _pair(sched: Schedule, rnd: Dict, src: int, dst: int, s_off: int,
-          d_off: int, length: int, reduce: bool = False) -> None:
-    sched.add(rnd, src, Send(dst, s_off, length))
-    step = RecvReduce(src, d_off, length) if reduce else Recv(src, d_off, length)
-    sched.add(rnd, dst, step)
+def _chunks(count: int, parts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.coll.schedule.chunk_layout` as (offsets, lengths)."""
+    i = np.arange(parts, dtype=np.int64)
+    base, rem = divmod(count, parts)
+    return i * base + np.minimum(i, rem), base + (i < rem)
+
+
+def _both_ways(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[0], b[0], a[1], b[1], ...``: an exchange emitted pair by pair."""
+    return np.stack([a, b], axis=1).ravel()
 
 
 # --------------------------------------------------------------------- #
 # Reusable phase builders over an arbitrary participant list. ``members``
-# is ordered by virtual rank: members[0] is the phase root.
+# is ordered by virtual rank: members[0] is the phase root. ``first`` is
+# the first of the rounds to emit into (fresh rounds when None).
 # --------------------------------------------------------------------- #
 
 
-def _binomial_bcast(sched: Schedule, members: Sequence[int], off: int,
-                    length: int, rounds: Optional[List[Dict]] = None) -> None:
+def _binomial_edges(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, v, u) of a binomial tree over ``n`` members: in step ``t``
+    member ``v`` is paired with member ``u = v + 2**t``, ``v`` ascending."""
+    t: List[int] = []
+    v: List[int] = []
+    for step in range(_ceil_log2(n)):
+        k = min(1 << step, n - (1 << step))
+        t += [step] * k
+        v += range(k)
+    t_arr = np.array(t, dtype=np.int64)
+    v_arr = np.array(v, dtype=np.int64)
+    return t_arr, v_arr, v_arr + (1 << t_arr)
+
+
+def _binomial_bcast(rows: StepRows, members: Sequence[int], off: int,
+                    length: int, first: Optional[int] = None) -> None:
+    n = len(members)
+    if first is None:
+        first = rows.new_rounds(_ceil_log2(n))
+    members = np.asarray(members)
+    t, v, u = _binomial_edges(n)
+    rows.pairs(first + t, members[v], members[u], off, off, length)
+
+
+def _binomial_reduce(rows: StepRows, members: Sequence[int], off: int,
+                     length: int, first: Optional[int] = None) -> None:
     n = len(members)
     n_rounds = _ceil_log2(n)
-    if rounds is None:
-        rounds = [sched.new_round() for _ in range(n_rounds)]
-    for t in range(n_rounds):
-        for v in range(1 << t):
-            u = v + (1 << t)
-            if u < n:
-                _pair(sched, rounds[t], members[v], members[u], off, off, length)
+    if first is None:
+        first = rows.new_rounds(n_rounds)
+    members = np.asarray(members)
+    t, v, u = _binomial_edges(n)
+    rows.pairs(first + (n_rounds - 1) - t, members[u], members[v], off, off,
+               length, reduce=True)
 
 
-def _binomial_reduce(sched: Schedule, members: Sequence[int], off: int,
-                     length: int, rounds: Optional[List[Dict]] = None) -> None:
-    n = len(members)
-    n_rounds = _ceil_log2(n)
-    if rounds is None:
-        rounds = [sched.new_round() for _ in range(n_rounds)]
-    for t in range(n_rounds - 1, -1, -1):
-        rnd = rounds[(n_rounds - 1) - t]
-        for v in range(1 << t):
-            u = v + (1 << t)
-            if u < n:
-                _pair(sched, rnd, members[u], members[v], off, off, length,
-                      reduce=True)
-
-
-def _recdbl_allreduce(sched: Schedule, members: Sequence[int],
+def _recdbl_allreduce(rows: StepRows, members: Sequence[int],
                       length: int) -> None:
     """Recursive doubling allreduce over ``members`` (any count).
 
@@ -99,31 +118,27 @@ def _recdbl_allreduce(sched: Schedule, members: Sequence[int],
     members pair up (odd folds into even) before the exchange rounds and
     the evens fan the result back out afterwards.
     """
+    members = np.asarray(members)
     n = len(members)
     m = n.bit_length() - 1
     pow2 = 1 << m
     rem = n - pow2
+    evens = members[0:2 * rem:2]
+    odds = members[1:2 * rem:2]
     if rem:
-        rnd = sched.new_round()
-        for i in range(rem):
-            _pair(sched, rnd, members[2 * i + 1], members[2 * i], 0, 0,
-                  length, reduce=True)
-
-    def active(idx: int) -> int:
-        return members[2 * idx] if idx < rem else members[idx + rem]
-
-    for t in range(m):
-        rnd = sched.new_round()
-        for idx in range(pow2):
-            pidx = idx ^ (1 << t)
-            if pidx > idx:
-                a, b = active(idx), active(pidx)
-                _pair(sched, rnd, a, b, 0, 0, length, reduce=True)
-                _pair(sched, rnd, b, a, 0, 0, length, reduce=True)
+        rows.pairs(rows.new_rounds(), odds, evens, 0, 0, length, reduce=True)
+    idx = np.arange(pow2)
+    active = members[np.where(idx < rem, 2 * idx, idx + rem)]
+    first = rows.new_rounds(m)
+    t = np.arange(m)[:, None]
+    partner = idx ^ (1 << t)
+    lower = partner > idx  # each exchanging pair once, from its lower index
+    t, lo, hi = (np.broadcast_to(a, lower.shape)[lower]
+                 for a in (t, idx, partner))
+    rows.pairs(np.repeat(first + t, 2), _both_ways(active[lo], active[hi]),
+               _both_ways(active[hi], active[lo]), 0, 0, length, reduce=True)
     if rem:
-        rnd = sched.new_round()
-        for i in range(rem):
-            _pair(sched, rnd, members[2 * i], members[2 * i + 1], 0, 0, length)
+        rows.pairs(rows.new_rounds(), evens, odds, 0, 0, length)
 
 
 # --------------------------------------------------------------------- #
@@ -132,55 +147,48 @@ def _recdbl_allreduce(sched: Schedule, members: Sequence[int],
 
 
 def _ring(kind: str, p: int, count: int, root: int) -> Schedule:
-    sched = Schedule(kind, "ring", p, count)
+    rows = StepRows(Schedule(kind, "ring", p, count))
     if p <= 1:
-        return sched
+        return rows.finish()
+    # Round-major grids: step s (rows) x rank r (columns).
+    s = np.arange(p - 1)[:, None]
+    r = np.arange(p)
+    nxt = (r + 1) % p
     if kind == "all_reduce":
-        chunks = chunk_layout(count, p)
-        for s in range(p - 1):  # reduce-scatter phase
-            rnd = sched.new_round()
-            for r in range(p):
-                off, length = chunks[(r - s) % p]
-                _pair(sched, rnd, r, (r + 1) % p, off, off, length, reduce=True)
-        for s in range(p - 1):  # allgather phase
-            rnd = sched.new_round()
-            for r in range(p):
-                off, length = chunks[(r + 1 - s) % p]
-                _pair(sched, rnd, r, (r + 1) % p, off, off, length)
+        off, ln = _chunks(count, p)
+        first = rows.new_rounds(p - 1)  # reduce-scatter phase
+        idx = (r - s) % p
+        rows.pairs(first + s, r, nxt, off[idx], off[idx], ln[idx], reduce=True)
+        first = rows.new_rounds(p - 1)  # allgather phase
+        idx = (r + 1 - s) % p
+        rows.pairs(first + s, r, nxt, off[idx], off[idx], ln[idx])
     elif kind == "all_gather":
-        for s in range(p - 1):
-            rnd = sched.new_round()
-            for r in range(p):
-                idx = (r - s) % p
-                _pair(sched, rnd, r, (r + 1) % p, idx * count, idx * count, count)
+        first = rows.new_rounds(p - 1)
+        idx = (r - s) % p
+        rows.pairs(first + s, r, nxt, idx * count, idx * count, count)
     elif kind == "reduce_scatter":
-        for s in range(p - 1):
-            rnd = sched.new_round()
-            for r in range(p):
-                idx = (r - s - 1) % p
-                _pair(sched, rnd, r, (r + 1) % p, idx * count, idx * count,
-                      count, reduce=True)
-    elif kind == "broadcast":
-        chunks = chunk_layout(count, p)
-        for t in range(len(chunks) + p - 2):
-            rnd = sched.new_round()
-            for d in range(p - 1):
-                k = t - d
-                if 0 <= k < len(chunks):
-                    off, length = chunks[k]
-                    _pair(sched, rnd, (root + d) % p, (root + d + 1) % p,
-                          off, off, length)
-    else:  # reduce: the broadcast pipeline reversed, folding toward root
-        chunks = chunk_layout(count, p)
-        for t in range(len(chunks) + p - 2):
-            rnd = sched.new_round()
-            for d in range(1, p):
-                k = t - (p - 1 - d)
-                if 0 <= k < len(chunks):
-                    off, length = chunks[k]
-                    _pair(sched, rnd, (root + d) % p, (root + d - 1) % p,
-                          off, off, length, reduce=True)
-    return sched
+        first = rows.new_rounds(p - 1)
+        idx = (r - s - 1) % p
+        rows.pairs(first + s, r, nxt, idx * count, idx * count, count,
+                   reduce=True)
+    else:
+        # broadcast pipelines chunk k through hop d in round k + d; reduce
+        # is that pipeline reversed, folding toward root.
+        off, ln = _chunks(count, p)
+        first = rows.new_rounds(2 * p - 2)
+        t = np.arange(2 * p - 2)[:, None]
+        if kind == "broadcast":
+            d = np.arange(p - 1)
+            src, dst, k = (root + d) % p, (root + d + 1) % p, t - d
+        else:
+            d = np.arange(1, p)
+            src, dst, k = (root + d) % p, (root + d - 1) % p, t - (p - 1 - d)
+        live = (0 <= k) & (k < p)
+        t, src, dst, k = (np.broadcast_to(a, live.shape)[live]
+                          for a in (t, src, dst, k))
+        rows.pairs(first + t, src, dst, off[k], off[k], ln[k],
+                   reduce=kind == "reduce")
+    return rows.finish()
 
 
 # --------------------------------------------------------------------- #
@@ -189,35 +197,33 @@ def _ring(kind: str, p: int, count: int, root: int) -> Schedule:
 
 
 def _tree(kind: str, p: int, count: int, root: int) -> Schedule:
-    sched = Schedule(kind, "tree", p, count)
+    rows = StepRows(Schedule(kind, "tree", p, count))
     if p <= 1:
-        return sched
-    by_vrank = [(root + v) % p for v in range(p)]
+        return rows.finish()
+    ranks = np.arange(p)
+    by_vrank = (root + ranks) % p
     if kind == "broadcast":
-        _binomial_bcast(sched, by_vrank, 0, count)
+        _binomial_bcast(rows, by_vrank, 0, count)
     elif kind == "reduce":
-        _binomial_reduce(sched, by_vrank, 0, count)
+        _binomial_reduce(rows, by_vrank, 0, count)
     elif kind == "all_reduce":
-        _binomial_reduce(sched, list(range(p)), 0, count)
-        _binomial_bcast(sched, list(range(p)), 0, count)
+        _binomial_reduce(rows, ranks, 0, count)
+        _binomial_bcast(rows, ranks, 0, count)
     elif kind == "all_gather":
         # Binomial gather of contiguous block ranges to rank 0, then a
         # binomial broadcast of the assembled vector.
-        n_rounds = _ceil_log2(p)
-        for t in range(n_rounds):
-            rnd = sched.new_round()
+        first = rows.new_rounds(_ceil_log2(p))
+        for t in range(_ceil_log2(p)):
             step = 1 << t
-            for v in range(step, p, 2 * step):
-                blocks = min(step, p - v)
-                _pair(sched, rnd, v, v - step, v * count, v * count,
-                      blocks * count)
-        _binomial_bcast(sched, list(range(p)), 0, p * count)
+            v = np.arange(step, p, 2 * step)
+            rows.pairs(first + t, v, v - step, v * count, v * count,
+                       np.minimum(step, p - v) * count)
+        _binomial_bcast(rows, ranks, 0, p * count)
     else:  # reduce_scatter: reduce the full vector to 0, then scatter
-        _binomial_reduce(sched, list(range(p)), 0, p * count)
-        rnd = sched.new_round()
-        for r in range(1, p):
-            _pair(sched, rnd, 0, r, r * count, r * count, count)
-    return sched
+        _binomial_reduce(rows, ranks, 0, p * count)
+        r = ranks[1:]
+        rows.pairs(rows.new_rounds(), 0, r, r * count, r * count, count)
+    return rows.finish()
 
 
 # --------------------------------------------------------------------- #
@@ -228,45 +234,38 @@ def _tree(kind: str, p: int, count: int, root: int) -> Schedule:
 def _recdbl(kind: str, p: int, count: int, root: int) -> Optional[Schedule]:
     pow2 = p & (p - 1) == 0
     if kind == "all_reduce":
-        sched = Schedule(kind, "recdbl", p, count)
+        rows = StepRows(Schedule(kind, "recdbl", p, count))
         if p > 1:
-            _recdbl_allreduce(sched, list(range(p)), count)
-        return sched
+            _recdbl_allreduce(rows, range(p), count)
+        return rows.finish()
     if not pow2:
         return None
-    sched = Schedule(kind, "recdbl", p, count)
+    rows = StepRows(Schedule(kind, "recdbl", p, count))
     if p <= 1:
-        return sched
-    m = _ceil_log2(p)
+        return rows.finish()
+    ranks = np.arange(p)
     if kind == "all_gather":
-        for t in range(m):
-            rnd = sched.new_round()
+        for t in range(_ceil_log2(p)):
             step = 1 << t
-            for r in range(p):
-                q = r ^ step
-                if q > r:
-                    rbase = (r >> t) << t
-                    qbase = (q >> t) << t
-                    _pair(sched, rnd, r, q, rbase * count, rbase * count,
-                          step * count)
-                    _pair(sched, rnd, q, r, qbase * count, qbase * count,
-                          step * count)
-        return sched
+            r = ranks[(ranks ^ step) > ranks]
+            q = r ^ step
+            src, dst = _both_ways(r, q), _both_ways(q, r)
+            off = (src >> t << t) * count
+            rows.pairs(rows.new_rounds(), src, dst, off, off, step * count)
+        return rows.finish()
     if kind == "reduce_scatter":
         cur = p
         while cur > 1:
             half = cur // 2
-            rnd = sched.new_round()
-            for r in range(p):
-                g = (r // cur) * cur
-                if r < g + half:
-                    q = r + half
-                    _pair(sched, rnd, r, q, (g + half) * count,
-                          (g + half) * count, half * count, reduce=True)
-                    _pair(sched, rnd, q, r, g * count, g * count,
-                          half * count, reduce=True)
+            g = ranks // cur * cur
+            lower = ranks < g + half
+            r, g = ranks[lower], g[lower]
+            off = _both_ways(g + half, g) * count
+            rows.pairs(rows.new_rounds(), _both_ways(r, r + half),
+                       _both_ways(r + half, r), off, off, half * count,
+                       reduce=True)
             cur = half
-        return sched
+        return rows.finish()
     return None
 
 
@@ -280,25 +279,26 @@ def _bruck(kind: str, p: int, count: int, root: int) -> Optional[Schedule]:
         return None
     # Double workspace: [0, p*count) is the rotated working area, the top
     # half stages the un-rotated result before the final copy back.
-    sched = Schedule(kind, "bruck", p, count, workspace=2 * p * count)
+    rows = StepRows(Schedule(kind, "bruck", p, count, workspace=2 * p * count))
     if p <= 1:
-        return sched
-    rnd = sched.new_round()
-    for r in range(1, p):
-        sched.add(rnd, r, Copy(r * count, 0, count))
+        return rows.finish()
+    ranks = np.arange(p)
+    rows.copies(rows.new_rounds(), ranks[1:], ranks[1:] * count, 0, count)
     k = 1
     while k < p:
-        blocks = min(k, p - k)
-        rnd = sched.new_round()
-        for r in range(p):
-            _pair(sched, rnd, r, (r - k) % p, 0, k * count, blocks * count)
+        rows.pairs(rows.new_rounds(), ranks, (ranks - k) % p, 0, k * count,
+                   min(k, p - k) * count)
         k <<= 1
-    rnd = sched.new_round()
-    for r in range(p):
-        for j in range(p):
-            sched.add(rnd, r, Copy(j * count, (p + (r + j) % p) * count, count))
-        sched.add(rnd, r, Copy(p * count, 0, p * count))
-    return sched
+    # Per rank: un-rotate block j into the staging half, then copy the
+    # staged vector back to the front.
+    r, j = ranks[:, None], ranks[None, :]
+    src = np.empty((p, p + 1), dtype=np.int64)
+    dst = np.empty_like(src)
+    length = np.empty_like(src)
+    src[:, :p], dst[:, :p], length[:, :p] = j * count, (p + (r + j) % p) * count, count
+    src[:, p], dst[:, p], length[:, p] = p * count, 0, p * count
+    rows.copies(rows.new_rounds(), r, src, dst, length)
+    return rows.finish()
 
 
 # --------------------------------------------------------------------- #
@@ -327,61 +327,58 @@ def _hier(kind: str, p: int, count: int, root: int, topo) -> Optional[Schedule]:
     groups = _hier_groups(topo, root)
     if len(groups) < 2:
         return None
+    if kind not in ("all_reduce", "broadcast", "all_gather", "reduce_scatter"):
+        return None
     leaders = [g[0] for g in groups]
-    sched = Schedule(kind, "hier", p, count)
+    nl = len(leaders)
+    rows = StepRows(Schedule(kind, "hier", p, count))
+    # Each non-leader next to its node's leader, node by node.
+    members = np.array([r for g in groups for r in g[1:]], dtype=np.int64)
+    heads = np.array([g[0] for g in groups for _ in g[1:]], dtype=np.int64)
 
-    def intra_rounds() -> List[Dict]:
-        return [sched.new_round()
-                for _ in range(max(_ceil_log2(len(g)) for g in groups))]
+    def intra_rounds() -> int:
+        return rows.new_rounds(max(_ceil_log2(len(g)) for g in groups))
+
+    def leader_ring(shift: int, reduce: bool) -> None:
+        # Ring over leaders at node granularity: in step s leader i
+        # forwards every block of node (i - s - shift) to leader i + 1.
+        rnd, src, dst, blocks = [], [], [], []
+        first = rows.new_rounds(nl - 1)
+        for s in range(nl - 1):
+            for i in range(nl):
+                g = groups[(i - s - shift) % nl]
+                rnd += [first + s] * len(g)
+                src += [leaders[i]] * len(g)
+                dst += [leaders[(i + 1) % nl]] * len(g)
+                blocks += g
+        off = np.array(blocks, dtype=np.int64) * count
+        rows.pairs(rnd, src, dst, off, off, count, reduce=reduce)
 
     if kind == "all_reduce":
-        rounds = intra_rounds()
+        first = intra_rounds()
         for g in groups:
-            _binomial_reduce(sched, g, 0, count, rounds[:_ceil_log2(len(g))])
-        _recdbl_allreduce(sched, leaders, count)
-        rounds = intra_rounds()
+            _binomial_reduce(rows, g, 0, count, first)
+        _recdbl_allreduce(rows, leaders, count)
+        first = intra_rounds()
         for g in groups:
-            _binomial_bcast(sched, g, 0, count, rounds[:_ceil_log2(len(g))])
+            _binomial_bcast(rows, g, 0, count, first)
     elif kind == "broadcast":
-        _binomial_bcast(sched, leaders, 0, count)
-        rounds = intra_rounds()
+        _binomial_bcast(rows, leaders, 0, count)
+        first = intra_rounds()
         for g in groups:
-            _binomial_bcast(sched, g, 0, count, rounds[:_ceil_log2(len(g))])
+            _binomial_bcast(rows, g, 0, count, first)
     elif kind == "all_gather":
-        nl = len(leaders)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, r, g[0], r * count, r * count, count)
-        for s in range(nl - 1):  # ring over leaders at node granularity
-            rnd = sched.new_round()
-            for i in range(nl):
-                for m in groups[(i - s) % nl]:
-                    _pair(sched, rnd, leaders[i], leaders[(i + 1) % nl],
-                          m * count, m * count, count)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, g[0], r, 0, 0, p * count)
-    elif kind == "reduce_scatter":
-        nl = len(leaders)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, r, g[0], 0, 0, p * count, reduce=True)
-        for s in range(nl - 1):  # ring reduce-scatter over node block sets
-            rnd = sched.new_round()
-            for i in range(nl):
-                for m in groups[(i - s - 1) % nl]:
-                    _pair(sched, rnd, leaders[i], leaders[(i + 1) % nl],
-                          m * count, m * count, count, reduce=True)
-        rnd = sched.new_round()
-        for g in groups:
-            for r in g[1:]:
-                _pair(sched, rnd, g[0], r, r * count, r * count, count)
-    else:
-        return None
-    return sched
+        rows.pairs(rows.new_rounds(), members, heads, members * count,
+                   members * count, count)
+        leader_ring(0, reduce=False)
+        rows.pairs(rows.new_rounds(), heads, members, 0, 0, p * count)
+    else:  # reduce_scatter
+        rows.pairs(rows.new_rounds(), members, heads, 0, 0, p * count,
+                   reduce=True)
+        leader_ring(1, reduce=True)
+        rows.pairs(rows.new_rounds(), heads, members, members * count,
+                   members * count, count)
+    return rows.finish()
 
 
 # --------------------------------------------------------------------- #

@@ -16,24 +16,22 @@ over ranks. This deliberately ignores link contention — it is a ranking
 function for the tuner, not a replacement for the event-driven link
 occupancy the backends charge at execution time.
 
-A schedule is lowered once per (placement, itemsize) into padded
-per-(round, rank) addend arrays (:class:`_Lowered`); every protocol x
-channels variant is then a few numpy passes over those arrays that keep
-the IEEE operation order of the per-step walk, so costs are bit-identical
-to pricing each step in turn.
+A schedule is lowered once per (placement, itemsize) from its step
+columns into padded per-(round, rank) addend arrays (:class:`_Lowered`),
+with no per-step Python; every protocol x channels variant is then a few
+numpy passes over those arrays that keep the IEEE operation order of the
+per-step walk, so costs are bit-identical to pricing each step in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .algorithms import LruMemo
-from .schedule import Copy, Recv, RecvReduce, Schedule, Send
+from .schedule import COPY, RECV, SEND, Schedule
 
 __all__ = [
     "Topology",
@@ -152,18 +150,14 @@ class Topology:
         return f"<Topology {self._signature}>"
 
 
-_SEND, _RECV, _REDUCE, _COPY = range(4)
-_STEP_CODES = {Send: _SEND, Recv: _RECV, RecvReduce: _REDUCE, Copy: _COPY}
-_length = attrgetter("length")
-_peer = attrgetter("peer")
-
-
 class _Lowered:
     """One schedule's steps as padded ``(step column, row)`` arrays.
 
-    A row is one rank's step list in one non-empty round; rows of a round
-    are contiguous and ``starts`` indexes each round's first row. Step
-    ``k`` of a row sits in column ``k`` (shorter rows are zero-padded):
+    A row is one rank's step list in one non-empty round, i.e. one run of
+    equal (round, rank) in the schedule's canonical row order; rows of a
+    round are contiguous and ``starts`` indexes each round's first row.
+    Step ``k`` of a row sits in column ``k`` (shorter rows are
+    zero-padded):
 
     - ``pair`` indexes ``params``, the distinct (latency, bandwidth,
       per-message overhead) paths the sends use; entry 0 is the local
@@ -177,33 +171,24 @@ class _Lowered:
     __slots__ = ("starts", "pair", "params", "local_bw", "nbytes", "stage")
 
     def __init__(self, sched: Schedule, topo: Topology, itemsize: int):
-        steps: List = []
-        row_ranks: List[int] = []
-        row_lens: List[int] = []
-        starts: List[int] = []
-        for rnd in sched.rounds:
-            if not rnd:
-                continue
-            starts.append(len(row_lens))
-            for rank, rank_steps in rnd.items():
-                row_ranks.append(rank)
-                row_lens.append(len(rank_steps))
-                steps.extend(rank_steps)
-        self.starts = np.array(starts, dtype=np.intp)
+        rnd, rank, code = sched.round, sched.rank, sched.code
+        n = len(code)
+        new_row = np.ones(n, dtype=bool)
+        new_row[1:] = (rnd[1:] != rnd[:-1]) | (rank[1:] != rank[:-1])
+        head = np.flatnonzero(new_row)
+        lens = np.diff(np.append(head, n))
+        row_round = rnd[head]
+        new_round = np.ones(len(head), dtype=bool)
+        new_round[1:] = row_round[1:] != row_round[:-1]
+        self.starts = np.flatnonzero(new_round)
         self.local_bw = topo.local_bandwidth()
-        lens = np.array(row_lens, dtype=np.intp)
         width = int(lens.max()) if len(lens) else 0
         row = np.repeat(np.arange(len(lens)), lens)
-        col = np.arange(len(steps)) - np.repeat(np.cumsum(lens) - lens, lens)
-        n = len(steps)
-        code = np.fromiter(map(_STEP_CODES.__getitem__, map(type, steps)),
-                           np.int8, n)
-        send = code == _SEND
-        nbytes = np.fromiter(map(_length, steps), np.int64, n) * itemsize
-        nbytes = nbytes.astype(np.float64)
-        src = np.array(row_ranks, dtype=np.int64)[row[send]]
-        dst = np.fromiter(map(_peer, compress(steps, send.tolist())),
-                          np.int64, int(send.sum()))
+        col = np.arange(n) - np.repeat(head, lens)
+        send = code == SEND
+        nbytes = (sched.length * itemsize).astype(np.float64)
+        src = rank[send]
+        dst = sched.peer[send]
         keys, inverse = np.unique(src * topo.nranks + dst, return_inverse=True)
         self.params = np.array(
             [(0.0, self.local_bw, 0.0)]
@@ -214,9 +199,9 @@ class _Lowered:
         self.pair = np.zeros(shape, dtype=np.intp)
         self.pair[col[send], row[send]] = inverse.reshape(-1) + 1
         self.nbytes = np.zeros(shape)
-        self.nbytes[col, row] = np.where(code == _RECV, 0.0, nbytes)
+        self.nbytes[col, row] = np.where(code == RECV, 0.0, nbytes)
         self.stage = np.zeros(shape)
-        self.stage[col, row] = np.where(code == _COPY, 0.0, nbytes)
+        self.stage[col, row] = np.where(code == COPY, 0.0, nbytes)
 
     def cost(self, lat_factor: float, ov_factor: float, channels: int,
              eff_scale: float, staging_threshold: int,

@@ -1,7 +1,9 @@
 """The collective Schedule IR (docs/COLLECTIVES.md).
 
 A :class:`Schedule` is a backend-independent description of one collective
-as synchronized *rounds* of per-rank steps over a scratch workspace:
+as synchronized *rounds* of per-rank steps over a scratch workspace. It
+stores the steps as int64 columns (one row per step, in a canonical
+order); the step objects below are a lazily built view of those rows:
 
 - :class:`Send` / :class:`Recv` — move ``length`` workspace elements
   starting at ``offset`` to/from ``peer``;
@@ -35,7 +37,13 @@ __all__ = [
     "Recv",
     "RecvReduce",
     "Copy",
+    "SEND",
+    "RECV",
+    "REDUCE",
+    "COPY",
+    "COLUMNS",
     "Schedule",
+    "StepRows",
     "ring_neighbors",
     "chunk_layout",
     "ring_path_params",
@@ -110,10 +118,36 @@ class Copy(_Step):
         return f"Copy({self.src}->{self.dst}, {self.length})"
 
 
-class Schedule:
-    """A generated collective: per-rank step programs in global rounds."""
+#: Values of a schedule's ``code`` column, one per step type.
+SEND, RECV, REDUCE, COPY = range(4)
 
-    __slots__ = ("kind", "algorithm", "nranks", "count", "workspace", "rounds")
+#: The int64 step columns of a :class:`Schedule`, in canonical order.
+COLUMNS = ("round", "rank", "code", "peer", "offset", "dst", "length")
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+_STEP_CODES = {Send: SEND, Recv: RECV, RecvReduce: REDUCE}
+
+
+class Schedule:
+    """A generated collective: per-rank step programs in global rounds.
+
+    Steps are stored as int64 columns (:data:`COLUMNS`), one row per step:
+    the round, the executing rank, the step ``code`` (:data:`SEND`,
+    :data:`RECV`, :data:`REDUCE`, :data:`COPY`), the ``peer`` (-1 for a
+    copy), the workspace ``offset`` (a copy's source), a copy's ``dst``
+    (0 otherwise) and the ``length``. Rows are in *canonical order*:
+    sorted by round; within a round, ranks in the order each first
+    received a step; within a (round, rank), steps in emission order.
+    Zero-length steps are dropped, while empty rounds still count in
+    ``n_rounds``. :class:`StepRows` is the only writer.
+
+    :attr:`rounds` / :meth:`rank_rounds` are a step-object view of the
+    same rows, built on first use and cached, for the executors.
+    """
+
+    __slots__ = ("kind", "algorithm", "nranks", "count", "workspace",
+                 "n_rounds", "_view") + COLUMNS
 
     def __init__(self, kind: str, algorithm: str, nranks: int, count: int,
                  workspace: Optional[int] = None):
@@ -124,36 +158,152 @@ class Schedule:
         self.nranks = nranks
         self.count = count
         self.workspace = workspace_size(kind, nranks, count) if workspace is None else workspace
-        self.rounds: List[Dict[int, List[_Step]]] = []
+        self.n_rounds = 0
+        for name in COLUMNS:
+            setattr(self, name, _EMPTY)
+        self._view: Optional[List[Dict[int, List[_Step]]]] = None
 
-    def new_round(self) -> Dict[int, List[_Step]]:
-        """Open a new (initially empty) round and return it."""
-        rnd: Dict[int, List[_Step]] = {}
-        self.rounds.append(rnd)
-        return rnd
+    @classmethod
+    def from_rounds(cls, kind: str, algorithm: str, nranks: int, count: int,
+                    rounds: Sequence[Dict[int, Sequence[_Step]]],
+                    workspace: Optional[int] = None) -> "Schedule":
+        """Build a schedule from step objects, ``rounds[i]`` mapping each
+        rank to its steps in round ``i`` (hand-written schedules)."""
+        table = []
+        for i, rnd in enumerate(rounds):
+            for rank, steps in rnd.items():
+                for st in steps:
+                    if isinstance(st, Copy):
+                        table.append((i, rank, COPY, -1, st.src, st.dst, st.length))
+                    else:
+                        table.append((i, rank, _STEP_CODES[type(st)], st.peer,
+                                      st.offset, 0, st.length))
+        rows = StepRows(cls(kind, algorithm, nranks, count, workspace))
+        rows.new_rounds(len(rounds))
+        rows.append(*np.array(table, dtype=np.int64).reshape(-1, len(COLUMNS)).T)
+        return rows.finish()
 
-    def add(self, rnd: Dict[int, List[_Step]], rank: int, step: _Step) -> None:
-        """Append ``step`` to ``rank``'s program for round ``rnd``.
+    @property
+    def rounds(self) -> List[Dict[int, List[_Step]]]:
+        """Per round, each rank's step objects (rank order as stored)."""
+        view = self._view
+        if view is None:
+            view = self._view = self._build_view()
+        return view
 
-        Zero-length transfers are dropped on both sides (generators emit
-        them symmetrically for ragged chunk layouts).
-        """
-        length = getattr(step, "length", 0)
-        if length <= 0:
-            return
-        rnd.setdefault(rank, []).append(step)
+    def _build_view(self) -> List[Dict[int, List[_Step]]]:
+        view: List[Dict[int, List[_Step]]] = [{} for _ in range(self.n_rounds)]
+        transfers = (Send, Recv, RecvReduce)
+        for rnd, rank, code, peer, offset, dst, length in zip(
+                *(getattr(self, name).tolist() for name in COLUMNS)):
+            if code == COPY:
+                step: _Step = Copy(offset, dst, length)
+            else:
+                step = transfers[code](peer, offset, length)
+            view[rnd].setdefault(rank, []).append(step)
+        return view
 
     def rank_rounds(self, rank: int) -> List[List[_Step]]:
         """The per-round step lists of one rank (empty rounds included)."""
         return [rnd.get(rank, []) for rnd in self.rounds]
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Schedule {self.algorithm}:{self.kind} p={self.nranks} "
                 f"count={self.count} rounds={self.n_rounds}>")
+
+
+class StepRows:
+    """Steps of one schedule under construction, in emission order.
+
+    Generators allocate rounds with :meth:`new_rounds` (in any order:
+    phase builders fill rounds allocated earlier) and emit steps with the
+    vector helpers :meth:`pairs` and :meth:`copies`; :meth:`finish`
+    stores them in canonical order on the schedule. Emission order counts
+    only within a round, so a helper may emit many rounds at once as long
+    as each round's steps come out in the order a loop would emit them.
+    """
+
+    __slots__ = ("sched", "n_rounds", "_blocks")
+
+    def __init__(self, sched: Schedule):
+        self.sched = sched
+        self.n_rounds = 0
+        self._blocks: List[Tuple[np.ndarray, ...]] = []
+
+    def new_rounds(self, n: int = 1) -> int:
+        """Open ``n`` empty rounds; returns the index of the first."""
+        first = self.n_rounds
+        self.n_rounds += n
+        return first
+
+    def append(self, rnd, rank, code, peer, offset, dst, length) -> None:
+        """Emit steps given column by column (scalars broadcast)."""
+        arrays = np.broadcast_arrays(
+            *(np.asarray(c, dtype=np.int64)
+              for c in (rnd, rank, code, peer, offset, dst, length)))
+        self._blocks.append(tuple(a.ravel() for a in arrays))
+
+    def pairs(self, rnd, src, dst, s_off, d_off, length,
+              reduce: bool = False) -> None:
+        """Emit one transfer per element: ``src`` sends ``length`` elements
+        at ``s_off`` to ``dst``, which receives (or, with ``reduce``,
+        receives and folds) them at ``d_off``. Each send is emitted right
+        before its matching receive; arguments broadcast together."""
+        rnd, src, dst, s_off, d_off, length = (
+            a.ravel() for a in np.broadcast_arrays(
+                *(np.asarray(c, dtype=np.int64)
+                  for c in (rnd, src, dst, s_off, d_off, length))))
+        n = len(src)
+
+        def interleave(send, recv) -> np.ndarray:
+            out = np.empty(2 * n, dtype=np.int64)
+            out[0::2] = send
+            out[1::2] = recv
+            return out
+
+        self._blocks.append((
+            interleave(rnd, rnd), interleave(src, dst),
+            interleave(SEND, REDUCE if reduce else RECV),
+            interleave(dst, src), interleave(s_off, d_off),
+            np.zeros(2 * n, dtype=np.int64),
+            interleave(length, length),
+        ))
+
+    def copies(self, rnd, rank, src, dst, length) -> None:
+        """Emit local copies of ``length`` elements from ``src`` to ``dst``."""
+        self.append(rnd, rank, COPY, -1, src, dst, length)
+
+    def finish(self) -> Schedule:
+        """Store the emitted steps on the schedule in canonical order."""
+        sched = self.sched
+        sched.n_rounds = self.n_rounds
+        if not self._blocks:
+            return sched
+        cols = [np.concatenate(c) for c in zip(*self._blocks)]
+        kept = np.flatnonzero(cols[6] > 0)  # zero-length steps drop
+        perm = kept[_canonical_order(cols[0][kept], cols[1][kept],
+                                     sched.nranks)]
+        for name, col in zip(COLUMNS, cols):
+            setattr(sched, name, col[perm])
+        return sched
+
+
+def _canonical_order(rnd: np.ndarray, rank: np.ndarray,
+                     nranks: int) -> np.ndarray:
+    """The permutation of emission-ordered rows into canonical order.
+
+    Rows group by (round, rank) with emission order kept inside a group;
+    groups sort by round, then by the emission index of their first row.
+    """
+    key = rnd * nranks + rank
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    head = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    size = np.diff(np.append(head, len(key)))
+    groups = np.lexsort((order[head], sorted_key[head] // nranks))
+    seg_start, seg_size = head[groups], size[groups]
+    return order[np.repeat(seg_start - (np.cumsum(seg_size) - seg_size),
+                           seg_size) + np.arange(len(key))]
 
 
 # --------------------------------------------------------------------- #

@@ -25,6 +25,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .._compat import warn_once
 from .algorithms import (DEFAULT_ALGORITHM, cached_generate, candidates,
                          is_applicable)
@@ -32,6 +34,7 @@ from .algorithms import (DEFAULT_ALGORITHM, cached_generate, candidates,
 from .algorithms import generate  # noqa: F401
 from .cost import CHANNEL_COUNTS, PROTOCOLS, Topology
 from .models import CANONICAL_SHMEM_KINDS, GpucclModel, MpiModel, ShmemModel
+from .schedule import SEND
 from .schema import (SCHEMA_NAME, SCHEMA_VERSION, CollTableError, migrate_v1,
                      validate_table)
 
@@ -323,18 +326,15 @@ class CollPolicy:
         """0.0 when the algorithm's generated schedule avoids every dead
         pair, else :data:`DEAD_PAIR_PENALTY`. The legacy "native" path is
         approximated by its closest catalogue shape (binomial tree)."""
-        from .schedule import Send
-
         name = "tree" if algorithm == "native" else algorithm
-        sched = cached_generate(name, kind, topo.nranks, max(1, int(nbytes)),
-                                topo=topo)
+        p = topo.nranks
+        sched = cached_generate(name, kind, p, max(1, int(nbytes)), topo=topo)
         if sched is None:
             return self.DEAD_PAIR_PENALTY
-        for rnd in sched.rounds:
-            for rank, steps in rnd.items():
-                for st in steps:
-                    if isinstance(st, Send) and (rank, st.peer) in dead:
-                        return self.DEAD_PAIR_PENALTY
+        send = sched.code == SEND
+        sent = sched.rank[send] * p + sched.peer[send]
+        if np.isin(sent, [a * p + b for a, b in dead]).any():
+            return self.DEAD_PAIR_PENALTY
         return 0.0
 
     def _select_degraded(self, backend: str, kind: str, nbytes: int,

@@ -107,20 +107,17 @@ def test_ring_neighbors():
 
 
 def test_executor_rejects_unbalanced_rounds():
-    from repro.coll import Recv, Send
-
-    sched = Schedule("broadcast", "bogus", 2, 4)
-    rnd = sched.new_round()
-    sched.add(rnd, 0, Send(1, 0, 4))
-    sched.add(rnd, 0, Send(1, 0, 4))  # second send never consumed
-    sched.add(rnd, 1, Recv(0, 0, 4))
+    sched = Schedule.from_rounds("broadcast", "bogus", 2, 4, [{
+        0: [Send(1, 0, 4), Send(1, 0, 4)],  # second send never consumed
+        1: [Recv(0, 0, 4)],
+    }])
     inputs = [np.ones(4), np.zeros(4)]
     with pytest.raises(ValueError, match="unconsumed"):
         execute_schedule(sched, inputs)
 
-    sched2 = Schedule("broadcast", "bogus", 2, 4)
-    rnd2 = sched2.new_round()
-    sched2.add(rnd2, 1, Recv(0, 0, 4))  # receive with no send
+    sched2 = Schedule.from_rounds("broadcast", "bogus", 2, 4, [{
+        1: [Recv(0, 0, 4)],  # receive with no send
+    }])
     with pytest.raises(ValueError, match="no message"):
         execute_schedule(sched2, inputs)
 
@@ -256,9 +253,8 @@ def test_lowered_cost_matches_walk_bitwise(algorithm, kind, p):
 def test_lowered_cost_of_empty_schedules():
     topo = _topo(1)
     empty = Schedule("all_reduce", "ring", 1, COUNT)
-    blank_rounds = Schedule("all_reduce", "ring", 1, COUNT)
-    blank_rounds.new_round()
-    blank_rounds.new_round()
+    blank_rounds = Schedule.from_rounds("all_reduce", "ring", 1, COUNT,
+                                        [{}, {}])
     for sched in (empty, blank_rounds):
         for variant in VARIANTS:
             want = walk_cost(sched, topo, ITEMSIZE, **variant)

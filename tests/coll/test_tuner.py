@@ -1,7 +1,9 @@
 """CollTable / CollPolicy / CollTuner + the ``repro tune --coll`` CLI."""
 
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +260,10 @@ def test_cli_tune_coll_dump(tmp_path):
     table = CollTable.from_doc(doc)
     sig = CollTuner("perlmutter", 64).topo.signature()
     assert table.lookup(sig, "gpuccl", "all_reduce", 32 << 20) == "ring"
+    # The dump is byte-pinned to the digest the benchmark checks.
+    refs = Path(__file__).resolve().parents[2] / "hostbench" / "references.json"
+    want = json.loads(refs.read_text())["tune_coll"]["dump_sha256"]
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == want
 
 
 # --------------------------------------------------------------------- #
@@ -292,6 +298,20 @@ def test_table_build_generates_each_schedule_once(monkeypatch):
     _tuner().build_table()
     assert calls and set(calls.values()) == {1}
     assert len(calls) == len(algorithms._MEMO) <= algorithms.MEMO_SIZE
+
+
+def test_table_build_never_builds_step_objects(monkeypatch):
+    """Generation, costing and selection read the step columns only."""
+    from repro.coll import Schedule, algorithms, cost
+
+    def refuse(self):
+        raise AssertionError(f"step view built for {self!r}")
+
+    monkeypatch.setattr(algorithms, "_MEMO", algorithms.LruMemo())
+    monkeypatch.setattr(cost, "_LOWERED", algorithms.LruMemo())
+    monkeypatch.setattr(Schedule, "_build_view", refuse)
+    table = _tuner().build_table()
+    assert table.entries and len(algorithms._MEMO) > 0
 
 
 def test_mpi_executor_leaves_memoized_schedule_unchanged(monkeypatch):
